@@ -28,6 +28,7 @@ from .fp_cubic import (
     discriminant_mod_p,
     linear_root,
     roots_exhaustive,
+    roots_mod_p,
     u_term,
     u_term_iterated,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "qth_root_count_mod_p",
     "region",
     "roots_exhaustive",
+    "roots_mod_p",
     "series_agreement_exponent",
     "series_root",
     "signature",

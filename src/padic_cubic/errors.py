@@ -33,6 +33,10 @@ class ZeroCoefficient(PadicCubicError):
     """A cubic coefficient a or b was zero (the theory assumes ab != 0)."""
 
 
+class BadEnvironment(PadicCubicError):
+    """An environment variable that sets a bound is not a positive integer."""
+
+
 class ScanBoundExceeded(PadicCubicError):
     """A residue scan was requested for a prime above the scan bound."""
 

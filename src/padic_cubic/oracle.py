@@ -8,7 +8,6 @@ silent failures.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,15 +16,15 @@ from . import classify
 from .classify import CubicInstance, LocationSignature, atom_for_valuation, Domain
 from .errors import BoundExceeded, DegenerateConstruction, ZeroDiscriminant
 from .padic import PadicRational, Prime, int_valuation
+from .residues import bound_from_env
 from .solve import DEFAULT_DIGITS, all_roots, residual_bound
 
 DEFAULT_ENUMERATION_BOUND = 10**7
-_BOUND_ENV = "PADIC_SCAN_BOUND"
 
 
 def enumeration_bound() -> int:
-    raw = os.environ.get(_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_ENUMERATION_BOUND
+    """Largest modulus p^m that enumeration may scan (PADIC_SCAN_BOUND overrides it)."""
+    return bound_from_env(DEFAULT_ENUMERATION_BOUND)
 
 
 @dataclass(frozen=True)

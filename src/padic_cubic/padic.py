@@ -25,8 +25,98 @@ from .errors import (
 INFINITE_VALUATION = math.inf
 
 
+#: Miller-Rabin with these bases decides primality exactly below
+#: MR_EXACT_BOUND (Sorenson and Webster, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Miller-Rabin round: whether odd n > base is a strong probable prime to base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n that is not a square."""
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    p, q = 1, (1 - d) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    half = (n + 1) // 2
+    # U_j, V_j, Q^j mod n, from j = 1 up the bits of k
+    u, v, qk = 1, p, q % n
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (p * u + v) * half % n, (d * u + p * v) * half % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (desk-scale inputs)."""
+    """Primality: exact Miller-Rabin below MR_EXACT_BOUND, BPSW above it.
+
+    BPSW (a base-2 Miller-Rabin round and a strong Lucas test) has no known
+    counterexample.
+    """
+    if n < 2:
+        return False
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # no prime factor up to 41 and below 43^2
+        return True
+    if n < MR_EXACT_BOUND:
+        return all(_strong_probable_prime(n, q) for q in MR_BASES)
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def is_prime_trial(n: int) -> bool:
+    """Deterministic trial-division primality check (oracle for is_prime)."""
     if n < 2:
         return False
     if n < 4:

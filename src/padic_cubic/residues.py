@@ -1,25 +1,41 @@
 """Power-residue tests over F_p and solvability of the monomial x^q = a in Q_p.
 
-Residue roots are found by exhaustive scan under a configurable prime bound;
-the scan doubles as its own oracle at desk scale.
+Square roots mod p come from Tonelli-Shanks (:func:`sqrt_mod_p`).  The
+exhaustive scan :func:`nth_roots_mod_p`, limited to primes up to a
+configurable bound, is kept as an oracle for tests; Hensel seeds come from
+fp_cubic.roots_mod_p, which does not scan.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from typing import Optional
 
-from .errors import ScanBoundExceeded, ZeroCoefficient, ZeroResidue
+from .errors import BadEnvironment, ScanBoundExceeded, ZeroCoefficient, ZeroResidue
 from .padic import PadicRational, Prime, int_valuation
 
 DEFAULT_SCAN_BOUND = 10**6
 _SCAN_BOUND_ENV = "PADIC_SCAN_BOUND"
 
 
+def bound_from_env(default: int) -> int:
+    """The positive integer in PADIC_SCAN_BOUND, or default when it is unset or empty."""
+    raw = os.environ.get(_SCAN_BOUND_ENV)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise BadEnvironment(f"{_SCAN_BOUND_ENV} must be a positive integer, got {raw!r}")
+    return value
+
+
 def scan_bound() -> int:
     """Largest prime for which residue scans are allowed (env-overridable)."""
-    raw = os.environ.get(_SCAN_BOUND_ENV)
-    return int(raw) if raw else DEFAULT_SCAN_BOUND
+    return bound_from_env(DEFAULT_SCAN_BOUND)
 
 
 def is_qth_residue(a0: int, q: int, prime: Prime) -> bool:
@@ -40,6 +56,34 @@ def qth_root_count_mod_p(a0: int, q: int, prime: Prime) -> int:
     if is_qth_residue(a0, q, prime):
         return math.gcd(q, prime.p - 1)
     return 0
+
+
+def sqrt_mod_p(a: int, p: int) -> Optional[int]:
+    """A square root of a mod p by Tonelli-Shanks, or None when a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then c^(2^(s-i-1)) fixes one more bit
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def nth_roots_mod_p(a0: int, q: int, prime: Prime) -> list[int]:

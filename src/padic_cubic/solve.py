@@ -1,8 +1,11 @@
 """Root computation to arbitrary digit precision.
 
 The pipeline scales the cubic so that candidate roots become units, seeds
-Newton iteration at residue roots mod p, and lifts with modulus doubling.
-The explicit series expansion is kept as an independent cross-check, and the
+Newton iteration at the F_p roots of the reduced congruence (found by
+fp_cubic.roots_mod_p, in O(log p) operations), and lifts each simple seed
+with Newton at full precision p^n.  A seed where the derivative vanishes mod p
+is resolved by re-centring on the multiple root, one digit per level.  The
+explicit series expansion is kept as an independent cross-check, and the
 repeated-root case is solved in closed form (lifting cannot apply there).
 """
 
@@ -20,9 +23,8 @@ from .errors import (
     NotDoubleRoot,
     SingularSeed,
 )
-from .fp_cubic import FpCubic, linear_root, roots_exhaustive
+from .fp_cubic import linear_root, roots_mod_p
 from .padic import DigitExpansion, PadicRational, Prime
-from .residues import nth_roots_mod_p
 
 DEFAULT_DIGITS = 20
 
@@ -56,7 +58,9 @@ class HenselSeed:
     poly holds the four coefficients (cubic, quadratic, linear, constant) of
     the polynomial whose unit root is being lifted; the quadratic entry is
     always zero here.  gamma is the norm exponent absorbed into the cubic
-    coefficient in the linear case.
+    coefficient in the linear case.  slope is f'(r0) mod p: congruence_initials
+    passes it from the residues it already holds, and a seed built without it
+    computes it from poly.
     """
 
     r0: int
@@ -64,12 +68,17 @@ class HenselSeed:
     case: str
     prime: Prime
     gamma: int = 0
+    slope: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.slope is None:
+            p = self.prime.p
+            c = _poly_residues(self.poly, p, 1)
+            object.__setattr__(self, "slope", _eval_deriv(c, self.r0, p))
 
     @property
     def is_singular(self) -> bool:
-        p = self.prime.p
-        c3, c2, c1, _ = _poly_residues(self.poly, p, 1)[0]
-        return ((3 * c3 * self.r0 + 2 * c2) * self.r0 + c1) % p == 0
+        return self.slope == 0
 
 
 @dataclass(frozen=True)
@@ -89,16 +98,14 @@ class RootRecord:
 # -- integer kernels for lifting --
 
 
-def _poly_residues(
-    poly: tuple[Fraction, ...], p: int, power: int
-) -> tuple[tuple[int, ...], int]:
+def _poly_residues(poly: tuple[Fraction, ...], p: int, power: int) -> tuple[int, ...]:
     """Coefficients as residues mod p^power (all must have ord_p >= 0)."""
     m = p**power
     out = []
     for c in poly:
         fr = Fraction(c)
         out.append(fr.numerator * pow(fr.denominator, -1, m) % m)
-    return tuple(out), m
+    return tuple(out)
 
 
 def _eval_cubic(c: tuple[int, ...], y: int, m: int) -> int:
@@ -111,77 +118,90 @@ def _eval_deriv(c: tuple[int, ...], y: int, m: int) -> int:
     return ((3 * c3 * y + 2 * c2) * y + c1) % m
 
 
-def _vp_bounded(n: int, p: int, cap: int) -> Optional[int]:
-    """ord_p of a residue mod p^cap: the exact value below cap, else None."""
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v if v < cap else None
+def _newton_unit_root(c: tuple[int, ...], y: int, p: int, n: int) -> int:
+    """The unique root mod p^n of the cubic c over a simple root y mod p.
 
-
-def _newton_unit_root(
-    poly: tuple[Fraction, ...], theta: int, index: int, p: int, n: int
-) -> int:
-    """The unique unit root mod p^n over a seed satisfying the index-i lemma.
-
-    Requires f(theta) = 0 mod p^(2*index+1) and ord_p f'(theta) = index.
-    Each step at least doubles the residual valuation beyond the index.
+    c holds residues mod p^n; requires c(y) = 0 mod p and c'(y) a unit.  Every
+    step works mod p^n and at least doubles the number of correct digits.
     """
-    nwork = n + index + 2
-    c, m = _poly_residues(poly, p, nwork)
-    pi = p**index
-    theta %= m
+    m = p**n
+    y %= m
     while True:
-        fv = _eval_cubic(c, theta, m)
-        s = _vp_bounded(fv, p, nwork)
-        if s is None or s - index >= n:
-            return theta % p**n
-        w = _eval_deriv(c, theta, m) // pi
-        step_mod = p ** (nwork - index)
-        delta = (fv // pi) * pow(w, -1, step_mod) % step_mod
-        theta = (theta - delta) % m
+        fv = _eval_cubic(c, y, m)
+        if fv == 0:
+            return y
+        y = (y - fv * pow(_eval_deriv(c, y, m), -1, m)) % m
+
+
+def _integer_poly(poly: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """poly times the lcm of its denominators: integer coefficients, same roots.
+
+    The denominators are prime to p, so the factor is a p-adic unit.
+    """
+    den = math.lcm(*(Fraction(c).denominator for c in poly))
+    return tuple(int(Fraction(c) * den) for c in poly)
+
+
+def _recentre(h: tuple[int, ...], t: int, p: int) -> tuple[int, ...]:
+    """h(t + p*z) divided by its content: the largest power of p dividing it."""
+    c3, c2, c1, c0 = h
+    g = (
+        c3 * p**3,
+        (3 * c3 * t + c2) * p * p,
+        ((3 * c3 * t + 2 * c2) * t + c1) * p,
+        ((c3 * t + c2) * t + c1) * t + c0,
+    )
+    while all(x % p == 0 for x in g):
+        g = tuple(x // p for x in g)
+    return g
 
 
 def _singular_branch_roots(
     poly: tuple[Fraction, ...], rho: int, p: int, n: int, v_disc: int
 ) -> list[int]:
-    """All unit roots (residues mod p^n) over a class where f' vanishes mod p.
+    """All unit roots (residues mod p^n, sorted) over a class where f' vanishes mod p.
 
-    Bounded search at raised Hensel index: solution classes over rho are
-    refined one digit at a time; a class is lifted as soon as the index-i
-    hypotheses hold (f = 0 mod p^(2i+1), ord f' = i exactly), and classes with
-    no nearby root die out by a level controlled by ord_p of the discriminant.
-    Requires a nonzero discriminant of valuation v_disc.
+    Recursive re-centring on the multiple root.  Level l starts from
+    h_(l-1) and its multiple root t mod p (h_0 = f, t = rho): substitute
+    z = t + p*z', divide out the content, and reduce mod p.  The reduction has
+    degree at most the multiplicity of t, so at most 3, and its F_p roots come
+    from roots_mod_p.  A simple root is lifted by Newton at index 0; the
+    multiple root, of which there is at most one, starts level l + 1.  A root z
+    of h_l gives x = theta_l + p^l*z, theta_l being the digits chosen so far.
+
+    Working precision: h_l = f(theta_l + p^l*z) / p^C, where C is the total
+    content removed along the path.  Its coefficients are kept as exact
+    integers (f times a p-adic unit), so shifting and dividing lose nothing,
+    and a leaf is lifted mod p^n on h_l: that is f to precision n + C, and it
+    gives x mod p^(n + l).
+
+    Requires a nonzero discriminant of valuation v_disc: the roots over rho then
+    separate by level 2*v_disc + 6, and a multiple root left there is an
+    internal inconsistency.
     """
     depth_cap = 2 * v_disc + 6
-    c, _ = _poly_residues(poly, p, depth_cap + 1)
+    m = p**n
+    h = _integer_poly(poly)
+    theta, scale, t = 0, 1, rho % p
     roots: list[int] = []
-    classes = [rho % p]
-    level = 1
-    while classes and level <= depth_cap:
-        modulus = p**level
-        nxt = []
-        for theta in classes:
-            i = _vp_bounded(_eval_deriv(c, theta, modulus), p, level)
-            if i is not None and 2 * i + 1 <= level:
-                # f(theta) = 0 mod p^level already covers mod p^(2i+1)
-                roots.append(_newton_unit_root(poly, theta, i, p, n))
-                continue
-            step = modulus
-            for d in range(p):
-                cand = theta + d * step
-                if _eval_cubic(c, cand, modulus * p) == 0:
-                    nxt.append(cand)
-        classes = nxt
-        level += 1
-    if classes:
-        raise InternalInconsistency(
-            f"singular branch did not resolve within depth {depth_cap}"
-        )
-    return sorted(set(roots))
+    for _ in range(depth_cap):
+        theta += scale * t
+        scale *= p
+        h = _recentre(h, t, p)
+        hbar = tuple(x % p for x in h)
+        multiple = None
+        for u in roots_mod_p(hbar, p):
+            if _eval_deriv(hbar, u, p):
+                z = _newton_unit_root(tuple(x % m for x in h), u, p, n)
+                roots.append((theta + scale * z) % m)
+            else:
+                multiple = u
+        if multiple is None:
+            return sorted(roots)
+        t = multiple
+    raise InternalInconsistency(
+        f"singular branch did not resolve within depth {depth_cap}"
+    )
 
 
 def _digits_of_residue(r: int, p: int, n: int) -> tuple[int, ...]:
@@ -246,26 +266,31 @@ def congruence_initials(eq: ScaledEquation) -> list[HenselSeed]:
         astar = eq.a.unit_part().value
         bstar = eq.b.unit_part().value
         poly = (Fraction(p) ** gamma, zero, astar, -bstar)
-        r0 = linear_root(eq.a.leading_digit(), eq.b.leading_digit(), prime)
-        return [HenselSeed(r0, poly, case, prime, gamma)]
+        a0 = eq.a.leading_digit()
+        r0 = linear_root(a0, eq.b.leading_digit(), prime)
+        # f' = 3*p^gamma*y^2 + A* with gamma >= 1
+        return [HenselSeed(r0, poly, case, prime, gamma, a0 % p)]
 
     poly = (one, zero, eq.a.value, -eq.b.value)
-    if case == CASE_CUBE:
-        residues = nth_roots_mod_p(eq.b.leading_digit(), 3, prime)
-    elif case == CASE_SQRT:
-        residues = nth_roots_mod_p(-eq.a.leading_digit() % p, 2, prime)
+    # the reduction y^3 + A0*y - B0 mod p, with A0 = 0 when |A| < 1; when
+    # |B| < 1 the unit roots are those of y^2 + A0
+    a0 = 0 if case == CASE_CUBE else eq.a.leading_digit()
+    if case == CASE_SQRT:
+        reduced: tuple[int, ...] = (1, 0, a0)
     else:
-        residues = roots_exhaustive(
-            FpCubic(prime, eq.a.leading_digit(), eq.b.leading_digit())
-        )
-    return [HenselSeed(r0, poly, case, prime) for r0 in residues]
+        reduced = (1, 0, a0, -eq.b.leading_digit())
+    return [
+        HenselSeed(r0, poly, case, prime, slope=(3 * r0 * r0 + a0) % p)
+        for r0 in roots_mod_p(reduced, p)
+    ]
 
 
 def lift(seed: HenselSeed, n: int) -> DigitExpansion:
     """Digits of the unique unit root over a simple seed, to n digits.
 
-    Newton iteration with modulus doubling; the result y satisfies
-    f(y) = 0 mod p^n exactly.
+    Newton iteration mod p^n from the first step; the number of correct digits
+    at least doubles per step, and the result y satisfies f(y) = 0 mod p^n
+    exactly.
     """
     if n < 1:
         raise ValueError("need at least one digit")
@@ -274,7 +299,7 @@ def lift(seed: HenselSeed, n: int) -> DigitExpansion:
             f"derivative vanishes mod p at r0={seed.r0}; route to the repeated-root path"
         )
     p = seed.prime.p
-    root = _newton_unit_root(seed.poly, seed.r0, 0, p, n)
+    root = _newton_unit_root(_poly_residues(seed.poly, p, n), seed.r0, p, n)
     return DigitExpansion(seed.prime, 0, _digits_of_residue(root, p, n))
 
 
@@ -421,15 +446,15 @@ def all_roots(inst: CubicInstance, n: int = DEFAULT_DIGITS) -> list[RootRecord]:
                 if seed.is_singular:
                     disc = -4 * eq.a.value**3 - 27 * eq.b.value**2
                     v_disc = int(PadicRational(inst.prime, disc).valuation)
-                    nwork = max(n, v_disc + 4)
                     unit_roots.extend(
-                        _singular_branch_roots(seed.poly, seed.r0, p, nwork, v_disc)
+                        _singular_branch_roots(seed.poly, seed.r0, p, n, v_disc)
                     )
                 else:
-                    unit_roots.append(_newton_unit_root(seed.poly, seed.r0, 0, p, n))
+                    c = _poly_residues(seed.poly, p, n)
+                    unit_roots.append(_newton_unit_root(c, seed.r0, p, n))
             v = -eq.k
             for y in sorted(unit_roots):
-                exp = DigitExpansion(inst.prime, v, _digits_of_residue(y % p**n, p, n))
+                exp = DigitExpansion(inst.prime, v, _digits_of_residue(y, p, n))
                 records.append(RootRecord(exp, v, atom_for_valuation(v), 1))
     records.sort(key=lambda rec: (rec.valuation, rec.expansion.unit_residue()))
     return records

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from padic_cubic.cli import main, parse_rational
-from padic_cubic.errors import UsageError
+from padic_cubic.errors import BadEnvironment, UsageError
+from padic_cubic.oracle import enumeration_bound
 from padic_cubic.padic import Prime
+from padic_cubic.residues import scan_bound
 
 P5 = Prime(5)
 
@@ -99,6 +101,30 @@ def test_sweep_verb(capsys):
     assert code == 0
     assert doc["failed"] == 0
     assert doc["passed"] + doc["skipped"] == 20
+
+
+def test_malformed_scan_bound_no_longer_reaches_solve(capsys, monkeypatch):
+    argv = ("solve", "--p", "5", "--a", "4", "--b", "5")
+    code, want, _ = run_json(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("PADIC_SCAN_BOUND", "abc")
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 0 and doc == want and err == ""
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1e6"])
+def test_malformed_scan_bound_names_the_variable(monkeypatch, raw):
+    monkeypatch.setenv("PADIC_SCAN_BOUND", raw)
+    for bound in (scan_bound, enumeration_bound):
+        with pytest.raises(BadEnvironment, match="PADIC_SCAN_BOUND"):
+            bound()
+
+
+@pytest.mark.parametrize("p", ["1000003", "1000000000000000003", "2305843009213693951"])
+def test_solve_at_large_primes(capsys, p):
+    code, doc, err = run_json(capsys, "solve", "--p", p, "--a", "4", "--b", "5")
+    assert code == 0 and err == ""
+    assert doc["roots"][0]["digits"] == [1] + [0] * 19  # x = 1 is a root
 
 
 def test_composite_p_is_usage_error(capsys):

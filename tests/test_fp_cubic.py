@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,12 @@ from padic_cubic.fp_cubic import (
     discriminant_mod_p,
     linear_root,
     roots_exhaustive,
+    roots_mod_p,
     u_term,
     u_term_iterated,
 )
 from padic_cubic.padic import Prime
+from padic_cubic.residues import nth_roots_mod_p
 
 P5, P7, P11, P13 = Prime(5), Prime(7), Prime(11), Prime(13)
 
@@ -100,3 +104,64 @@ def test_matrix_power_agrees_with_iteration(prime, a0, b0, n):
         return
     c = FpCubic(prime, a0, b0)
     assert u_term(c, n) == u_term_iterated(c, n)
+
+
+def _agrees_with_scans(prime, a0, b0):
+    p = prime.p
+    assert roots_mod_p((1, 0, a0, -b0), p) == roots_exhaustive(FpCubic(prime, a0, b0))
+    assert roots_mod_p((1, 0, 0, -b0), p) == nth_roots_mod_p(b0, 3, prime)
+    assert roots_mod_p((1, 0, a0), p) == nth_roots_mod_p(-a0 % p, 2, prime)
+
+
+@pytest.mark.parametrize("prime", [P5, P7, P11, P13])
+def test_roots_mod_p_matches_the_scans_everywhere(prime):
+    """Every unit pair, the vanishing discriminants included: a double root
+    comes out once, as the scan lists it."""
+    p = prime.p
+    doubles = 0
+    for a0 in range(1, p):
+        for b0 in range(1, p):
+            _agrees_with_scans(prime, a0, b0)
+            if discriminant_mod_p(FpCubic(prime, a0, b0)) == 0:
+                doubles += 1
+                assert len(roots_mod_p((1, 0, a0, -b0), p)) == 2
+    assert doubles > 0
+
+
+@pytest.mark.parametrize("prime", [Prime(101), Prime(10007)])
+def test_roots_mod_p_matches_the_scans_on_seeded_draws(prime):
+    rng = random.Random(prime.p)
+    for _ in range(40):
+        _agrees_with_scans(prime, rng.randrange(1, prime.p), rng.randrange(1, prime.p))
+    # roots 1, 2, -3 and a double root at 1
+    assert roots_mod_p((1, 0, -7, 6), prime.p) == sorted([1, 2, prime.p - 3])
+    assert roots_mod_p((1, 0, -3, 2), prime.p) == [1, prime.p - 2]
+
+
+def test_roots_mod_p_on_any_polynomial_of_degree_at_most_3():
+    rng = random.Random(5)
+    for p in (5, 7, 11, 13, 17, 41, 97):
+        for _ in range(200):
+            c = [rng.randrange(p) for _ in range(rng.randint(1, 4))]
+            if not any(c):
+                continue
+            want = [x for x in range(p) if sum(ci * x ** (len(c) - 1 - i) for i, ci in enumerate(c)) % p == 0]
+            assert roots_mod_p(c, p) == want
+    assert roots_mod_p((0, 0, 3, 4), 5) == [2]  # leading zeros drop the degree
+    assert roots_mod_p((7,), 5) == []
+    with pytest.raises(ZeroResidue):
+        roots_mod_p((5, 10, 0, 15), 5)
+
+
+@pytest.mark.parametrize("p", [999983, 2**31 - 1, 2**61 - 1])
+def test_roots_mod_p_at_large_primes(p):
+    """No scan is possible here: each root must satisfy the congruence, and
+    the count must match the discriminant/recurrence formula."""
+    rng = random.Random(p)
+    prime = Prime(p)
+    for _ in range(20):
+        a0, b0 = rng.randrange(1, p), rng.randrange(1, p)
+        roots = roots_mod_p((1, 0, a0, -b0), p)
+        assert all((x**3 + a0 * x - b0) % p == 0 for x in roots)
+        assert len(roots) == count_roots_formula(FpCubic(prime, a0, b0))
+    assert roots_mod_p((1, 0, -7, 6), p) == [1, 2, p - 3]

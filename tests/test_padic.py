@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,14 @@ from padic_cubic.errors import (
     ZeroArgument,
     ZeroDenominator,
 )
-from padic_cubic.padic import PadicRational, Prime, make_padic
+from padic_cubic.padic import (
+    MR_EXACT_BOUND,
+    PadicRational,
+    Prime,
+    is_prime,
+    is_prime_trial,
+    make_padic,
+)
 
 P5, P7, P11, P13 = Prime(5), Prime(7), Prime(11), Prime(13)
 PRIMES = (P5, P7, P11, P13)
@@ -31,6 +39,41 @@ primes_st = st.sampled_from(PRIMES)
 def test_prime_rejects_non_primes_and_small_primes(bad):
     with pytest.raises(PrimeError):
         Prime(bad)
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == is_prime_trial(n) for n in range(-5, 30000))
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.randrange(10**8, 10**10)
+        assert is_prime(n) == is_prime_trial(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 9, 12 and 13 prime bases;
+    # the last equals MR_EXACT_BOUND and so goes to BPSW
+    for n in (3825123056546413051, 318665857834031151167461, 3317044064679887385961981):
+        assert not is_prime(n)
+    assert MR_EXACT_BOUND == 3317044064679887385961981
+    # Carmichael numbers and a square of a prime above the bound
+    for n in (561, 41041, 825265, 321197185, (2**89 - 1) ** 2):
+        assert not is_prime(n)
+
+
+def test_is_prime_above_the_exact_bound():
+    """BPSW: Mersenne primes and products of two large primes."""
+    for e in (89, 107, 127, 521):
+        assert is_prime(2**e - 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    assert not is_prime(2**89 + 1)
+    assert not is_prime((10**18 + 3) * (10**18 + 9))
+
+
+def test_large_primes_are_accepted():
+    for p in (10**18 + 3, 2**61 - 1, 2**127 - 1):
+        assert Prime(p).p == p
+    with pytest.raises(PrimeError):
+        Prime(10**18 + 1)
 
 
 def test_make_padic_examples():

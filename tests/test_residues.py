@@ -12,6 +12,7 @@ from padic_cubic.residues import (
     monomial_root_count,
     monomial_solvable,
     nth_roots_mod_p,
+    sqrt_mod_p,
     qth_root_count_mod_p,
     sqrt_exists,
 )
@@ -105,6 +106,18 @@ def test_scan_bound_is_env_overridable(monkeypatch):
     with pytest.raises(ScanBoundExceeded):
         nth_roots_mod_p(1, 2, P11)
     assert nth_roots_mod_p(1, 2, P7) == [1, 6]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 17, 41, 73, 97, 113, 257, 7681])
+def test_sqrt_mod_p_agrees_with_scan(p):
+    """Covers p = 3 mod 4, 5 mod 8 and 1 mod 8 (Tonelli-Shanks proper)."""
+    squares = {x * x % p for x in range(p)}
+    for a in range(p):
+        r = sqrt_mod_p(a, p)
+        if a in squares:
+            assert r is not None and r * r % p == a
+        else:
+            assert r is None
 
 
 @st.composite

@@ -5,11 +5,13 @@ import pytest
 
 from padic_cubic.classify import CubicInstance, Domain, count_in
 from padic_cubic.errors import (
+    InternalInconsistency,
     NonconvergentSeed,
     NotDoubleRoot,
     SingularSeed,
     ZeroCoefficient,
 )
+from padic_cubic.oracle import generate_from_roots, stable_zp_root_count, verify
 from padic_cubic.padic import PadicRational, Prime
 from padic_cubic.solve import (
     CASE_CUBE,
@@ -17,6 +19,7 @@ from padic_cubic.solve import (
     CASE_LINEAR,
     CASE_SQRT,
     HenselSeed,
+    _singular_branch_roots,
     all_roots,
     candidate_scalings,
     congruence_initials,
@@ -252,3 +255,72 @@ def test_deterministic_output():
 def test_all_roots_rejects_zero_coefficients():
     with pytest.raises(ZeroCoefficient):
         inst(0, 5, P5)
+
+
+def _close_pair(rng, prime, k):
+    """Integer roots u and u + w*p^k (u, w units): a seed singular for k >= 1."""
+    p = prime.p
+    while True:
+        u, w = rng.randint(1, 999), rng.randint(1, 999)
+        if u % p and w % p:
+            break
+    u *= rng.choice((-1, 1))
+    return generate_from_roots(
+        PadicRational(prime, Fraction(u)), PadicRational(prime, Fraction(u + w * p**k))
+    )
+
+
+#: stable_zp_root_count enumerates about p^(k+1) classes; it checks the cells
+#: up to this cost (under a second in all), verify checks every cell.
+ENUMERATION_COST_CAP = 30_000
+
+
+@pytest.mark.parametrize("prime", [P5, P7, P11, P13])
+def test_singular_branch_on_close_roots(prime):
+    rng = random.Random(prime.p)
+    p = prime.p
+    for k in range(1, 7):
+        ci = _close_pair(rng, prime, k)
+        report = verify(ci, 20)
+        assert report.passed, report.entries
+        seeds = congruence_initials(candidate_scalings(ci.instance)[0])
+        assert any(s.is_singular for s in seeds)
+        if p ** (k + 1) <= ENUMERATION_COST_CAP:
+            a, b = int(ci.instance.a.value), int(ci.instance.b.value)
+            assert stable_zp_root_count(a, b, prime) == 3
+
+
+@pytest.mark.parametrize("p, k", [(101, 3), (5, 20)])
+def test_singular_branch_deep_gaps(p, k):
+    """Cases that took minutes (p = 101, k = 3) or never finished (p = 5, k = 20)."""
+    ci = _close_pair(random.Random(k), Prime(p), k)
+    for digits in (5, 20, 40):
+        report = verify(ci, digits)
+        assert report.passed, report.entries
+
+
+def test_singular_branch_depth_cap():
+    # roots 1 and 1 + 5^8 separate at level 8; a claimed v_disc of 0 caps at 6
+    ci = generate_from_roots(PadicRational(P5, Fraction(1)), PadicRational(P5, Fraction(1 + 5**8)))
+    eq = candidate_scalings(ci.instance)[0]
+    (seed,) = [s for s in congruence_initials(eq) if s.is_singular]
+    with pytest.raises(InternalInconsistency):
+        _singular_branch_roots(seed.poly, seed.r0, 5, 20, 0)
+    assert len(_singular_branch_roots(seed.poly, seed.r0, 5, 20, 16)) == 2
+
+
+def test_no_scan_in_production(monkeypatch):
+    """With the scan bound at 4 every residue scan would raise; verify must
+    still answer, classifier and solver alike, from p = 5 to 2^61 - 1."""
+    monkeypatch.setenv("PADIC_SCAN_BOUND", "4")
+    rng = random.Random(61)
+    for p in (5, 7, 101, 10007, 999983, 2**31 - 1, 2**61 - 1):
+        prime = Prime(p)
+        for _ in range(4):
+            r1, r2 = (
+                PadicRational(prime, Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)) * Fraction(p) ** rng.randint(-2, 2))
+                for _ in range(2)
+            )
+            report = verify(generate_from_roots(r1, r2), 20)
+            assert report.passed, report.entries
+        assert len(all_roots(inst(4, 5, prime), 20)) >= 1

@@ -144,7 +144,9 @@ class _Profile:
     region: Region
 
 
-@lru_cache(maxsize=65536)
+# The hits come from the several predicates asked of one instance in a row; a
+# small cache serves them and does not hold on to large coefficients.
+@lru_cache(maxsize=32)
 def _profile(inst: CubicInstance) -> _Profile:
     p = inst.prime.p
     ea = inst.a.norm_exponent()

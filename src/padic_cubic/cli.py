@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -25,6 +26,9 @@ from .residues import cbrt_exists, monomial_root_count, monomial_solvable, sqrt_
 from .solve import DEFAULT_DIGITS, all_roots, residual_bound
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*p\^([+-]?\d+))?$")
+
+#: Largest --digits accepted by solve, verify and sweep.
+MAX_DIGITS = 100_000
 
 _DOMAIN_ORDER = (
     Domain.UNITS,
@@ -47,12 +51,43 @@ def parse_rational(text: str, prime: Prime) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise UsageError(f"cannot parse rational {text!r}; use n, n/d, or n/d*p^k")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    k = int(m.group(3)) if m.group(3) else 0
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+        k = int(m.group(3)) if m.group(3) else 0
+    except ValueError:  # CPython's limit on str-to-int conversion
+        raise UsageError(
+            f"rational literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     if den == 0:
         raise UsageError("--a/--b denominator must be nonzero")
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(k) * math.log10(prime.p) > limit:
+        # refused before p^k is built: the answer could not be printed
+        raise UsageError(f"p^{k} has more than {limit} decimal digits")
     return Fraction(num, den) * Fraction(prime.p) ** k
+
+
+def _digit_count(text: str) -> int:
+    """--digits: an integer from 1 to MAX_DIGITS."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= n <= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_DIGITS}, got {n}")
+    return n
+
+
+def _decimal(x: Fraction) -> str:
+    """x as decimal text, or a UsageError when it has too many digits to print."""
+    try:
+        return str(x)
+    except ValueError:  # CPython's limit on int-to-str conversion
+        raise UsageError(
+            f"a number in the output has more than {sys.get_int_max_str_digits()}"
+            " decimal digits; use smaller coefficients or roots"
+        ) from None
 
 
 def _build_parser() -> _Parser:
@@ -70,7 +105,7 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("count", help="root counts in the four main domains"))
     solve_p = sub.add_parser("solve", help="compute the roots to digit precision")
     add_common(solve_p)
-    solve_p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    solve_p.add_argument("--digits", type=_digit_count, default=DEFAULT_DIGITS)
 
     res_p = sub.add_parser("residue", help="square/cube root existence for a")
     res_p.add_argument("--p", type=int, required=True)
@@ -88,14 +123,14 @@ def _build_parser() -> _Parser:
     ver_p.add_argument("--p", type=int, required=True)
     ver_p.add_argument("--r1", required=True, help="first root (rational literal)")
     ver_p.add_argument("--r2", required=True, help="second root (rational literal)")
-    ver_p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    ver_p.add_argument("--digits", type=_digit_count, default=DEFAULT_DIGITS)
     ver_p.add_argument("--format", choices=("text", "json"), default="text")
 
     sw_p = sub.add_parser("sweep", help="randomized oracle sweep with PASS/FAIL tally")
     sw_p.add_argument("--primes", default="5,7,11,13", help="comma-separated primes")
     sw_p.add_argument("--instances", type=int, default=100)
     sw_p.add_argument("--seed", type=int, default=0)
-    sw_p.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
+    sw_p.add_argument("--digits", type=_digit_count, default=DEFAULT_DIGITS)
     sw_p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -122,8 +157,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     solvable = {d.value: classify.solvable_in(inst, d) for d in _DOMAIN_ORDER}
     doc = {
         "p": inst.prime.p,
-        "a": str(inst.a.value),
-        "b": str(inst.b.value),
+        "a": _decimal(inst.a.value),
+        "b": _decimal(inst.b.value),
         "region": classify.region(inst).value,
         "signature": sig.as_dict(),
         "total": sig.total,
@@ -147,8 +182,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     }
     doc = {
         "p": inst.prime.p,
-        "a": str(inst.a.value),
-        "b": str(inst.b.value),
+        "a": _decimal(inst.a.value),
+        "b": _decimal(inst.b.value),
         "counts": counts,
     }
     lines = [f"N_{k} = {v}" for k, v in counts.items()]
@@ -158,8 +193,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _instance(args)
-    if args.digits < 1:
-        raise UsageError("--digits must be positive")
     records = all_roots(inst, args.digits)
     roots = [
         {
@@ -176,8 +209,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     doc = {
         "p": inst.prime.p,
-        "a": str(inst.a.value),
-        "b": str(inst.b.value),
+        "a": _decimal(inst.a.value),
+        "b": _decimal(inst.b.value),
         "digits": args.digits,
         "roots": roots,
         "total": sum(r.multiplicity for r in records),
@@ -202,7 +235,7 @@ def _cmd_residue(args: argparse.Namespace) -> int:
     a = PadicRational(prime, parse_rational(args.a, prime))
     doc = {
         "p": prime.p,
-        "a": str(a.value),
+        "a": _decimal(a.value),
         "sqrt_exists": sqrt_exists(a),
         "cbrt_exists": cbrt_exists(a),
     }
@@ -249,8 +282,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = verify(ci, args.digits)
     doc = {
         "p": prime.p,
-        "a": str(ci.instance.a.value),
-        "b": str(ci.instance.b.value),
+        "a": _decimal(ci.instance.a.value),
+        "b": _decimal(ci.instance.b.value),
         "passed": report.passed,
         "expected_signature": report.expected.as_dict(include_zero=True),
         "actual_signature": report.actual.as_dict(include_zero=True),

@@ -18,8 +18,6 @@ from .errors import ScanBoundExceeded, ZeroResidue
 from .padic import Prime
 from .residues import scan_bound, sqrt_mod_p
 
-Matrix = tuple[tuple[int, int, int], ...]
-
 
 @dataclass(frozen=True)
 class FpCubic:
@@ -47,34 +45,18 @@ def _initial_state(c: FpCubic) -> tuple[int, int, int]:
     return (0, -c.a0 % p, c.b0)
 
 
-def _mat_mul(x: Matrix, y: Matrix, p: int) -> Matrix:
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) % p for j in range(3))
-        for i in range(3)
-    )
-
-
-def _mat_pow(m: Matrix, e: int, p: int) -> Matrix:
-    acc: Matrix = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    while e:
-        if e & 1:
-            acc = _mat_mul(acc, m, p)
-        m = _mat_mul(m, m, p)
-        e >>= 1
-    return acc
-
-
 def u_term(c: FpCubic, n: int) -> int:
-    """u_n mod p via companion-matrix exponentiation, O(log n) multiplications."""
+    """u_n mod p in O(log n) products of polynomials of degree < 3.
+
+    The recurrence has characteristic polynomial x^3 + a0*x - b0, so with
+    x^(n-1) = c0 + c1*x + c2*x^2 modulo it, u_n = c0*u1 + c1*u2 + c2*u3.
+    """
     if n < 1:
         raise ValueError("recurrence index starts at 1")
     p = c.prime.p
+    c0, c1, c2 = _pow_linear(0, n - 1, [-c.b0 % p, c.a0, 0, 1], p)
     u1, u2, u3 = _initial_state(c)
-    if n <= 3:
-        return (u1, u2, u3)[n - 1]
-    step: Matrix = ((0, 1, 0), (0, 0, 1), (c.b0, -c.a0 % p, 0))
-    m = _mat_pow(step, n - 1, p)
-    return (m[0][0] * u1 + m[0][1] * u2 + m[0][2] * u3) % p
+    return (c0 * u1 + c1 * u2 + c2 * u3) % p
 
 
 def u_term_iterated(c: FpCubic, n: int) -> int:

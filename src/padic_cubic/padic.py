@@ -132,14 +132,75 @@ def is_prime_trial(n: int) -> bool:
 
 
 def int_valuation(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer n."""
+    """Exponent of p in a nonzero integer n.
+
+    Divides out p, p^2, p^4, ... while they divide n, then the same powers
+    again from the largest down, one binary digit of the rest of the exponent
+    each: O(log v) divisions instead of v.
+    """
     if n == 0:
         raise ZeroArgument("valuation of integer zero is undefined")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    powers: list[int] = []  # p^(2^j) for j < len(powers)
+    q = p
+    quo, rem = divmod(n, q)
+    while rem == 0:
+        n = quo
+        powers.append(q)
+        q *= q
+        quo, rem = divmod(n, q)
+    v = (1 << len(powers)) - 1
+    for j in reversed(range(len(powers))):
+        quo, rem = divmod(n, powers[j])
+        if rem == 0:
+            n = quo
+            v += 1 << j
     return v
+
+
+#: Digit blocks up to this length are peeled one digit at a time.
+_LEAF_DIGITS = 64
+
+
+def residue_digits(r: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of 0 <= r < p^n, least significant first.
+
+    Divide and conquer (Brent and Zimmermann, Modern Computer Arithmetic,
+    1.7): split at p^(n//2) and convert both halves, peeling digits one at a
+    time only in blocks of at most _LEAF_DIGITS.
+    """
+    out: list[int] = []
+    _split_digits(r, p, n, {}, out)
+    return tuple(out)
+
+
+def _split_digits(
+    r: int, p: int, n: int, powers: dict[int, int], out: list[int]
+) -> None:
+    """Append the n digits of r to out; powers caches p^h by h across the calls."""
+    if n <= _LEAF_DIGITS:
+        for _ in range(n):
+            r, d = divmod(r, p)
+            out.append(d)
+        return
+    h = n // 2
+    ph = powers.get(h) or powers.setdefault(h, p**h)
+    hi, lo = divmod(r, ph)
+    _split_digits(lo, p, h, powers, out)
+    _split_digits(hi, p, n - h, powers, out)
+
+
+def _digits_value(digits: tuple[int, ...], p: int, powers: dict[int, int]) -> int:
+    """The inverse of residue_digits, by the same halves: lo + p^(n//2) * hi."""
+    n = len(digits)
+    if n <= _LEAF_DIGITS:
+        total = 0
+        for d in reversed(digits):
+            total = total * p + d
+        return total
+    h = n // 2
+    ph = powers.get(h) or powers.setdefault(h, p**h)
+    lo = _digits_value(digits[:h], p, powers)
+    return lo + ph * _digits_value(digits[h:], p, powers)
 
 
 @dataclass(frozen=True)
@@ -186,11 +247,7 @@ class DigitExpansion:
 
     def unit_residue(self) -> int:
         """The integer d0 + d1*p + ... + d_{n-1}*p^{n-1}."""
-        p = self.prime.p
-        total = 0
-        for d in reversed(self.digits):
-            total = total * p + d
-        return total
+        return _digits_value(self.digits, self.prime.p, {})
 
     def approximation(self) -> Fraction:
         """Exact rational p^valuation * unit_residue()."""
@@ -278,13 +335,8 @@ class PadicRational:
             raise ZeroArgument("zero has no canonical digits")
         if n < 1:
             raise ValueError("need at least one digit")
-        p = self.prime.p
-        r = self.unit_part().residue(n)
-        digs = []
-        for _ in range(n):
-            digs.append(r % p)
-            r //= p
-        return DigitExpansion(self.prime, int(self.valuation), tuple(digs))
+        digs = residue_digits(self.unit_part().residue(n), self.prime.p, n)
+        return DigitExpansion(self.prime, int(self.valuation), digs)
 
     def times_power(self, k: int) -> "PadicRational":
         """self * p^k."""

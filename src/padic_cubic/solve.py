@@ -3,10 +3,12 @@
 The pipeline scales the cubic so that candidate roots become units, seeds
 Newton iteration at the F_p roots of the reduced congruence (found by
 fp_cubic.roots_mod_p, in O(log p) operations), and lifts each simple seed
-with Newton at full precision p^n.  A seed where the derivative vanishes mod p
-is resolved by re-centring on the multiple root, one digit per level.  The
-explicit series expansion is kept as an independent cross-check, and the
-repeated-root case is solved in closed form (lifting cannot apply there).
+with Newton at doubling precision p, p^2, ..., p^n, updating the inverse of
+the derivative by its own Newton step; digits come from a divide-and-conquer
+radix conversion.  A seed where the derivative vanishes mod p is resolved by
+re-centring on the multiple root, one digit per level.  The explicit series
+expansion is kept as an independent cross-check, and the repeated-root case
+is solved in closed form (lifting cannot apply there).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     SingularSeed,
 )
 from .fp_cubic import linear_root, roots_mod_p
-from .padic import DigitExpansion, PadicRational, Prime
+from .padic import DigitExpansion, PadicRational, Prime, residue_digits
 
 DEFAULT_DIGITS = 20
 
@@ -72,9 +74,8 @@ class HenselSeed:
 
     def __post_init__(self) -> None:
         if self.slope is None:
-            p = self.prime.p
-            c = _poly_residues(self.poly, p, 1)
-            object.__setattr__(self, "slope", _eval_deriv(c, self.r0, p))
+            c = _integer_poly(self.poly)
+            object.__setattr__(self, "slope", _eval_deriv(c, self.r0, self.prime.p))
 
     @property
     def is_singular(self) -> bool:
@@ -98,16 +99,6 @@ class RootRecord:
 # -- integer kernels for lifting --
 
 
-def _poly_residues(poly: tuple[Fraction, ...], p: int, power: int) -> tuple[int, ...]:
-    """Coefficients as residues mod p^power (all must have ord_p >= 0)."""
-    m = p**power
-    out = []
-    for c in poly:
-        fr = Fraction(c)
-        out.append(fr.numerator * pow(fr.denominator, -1, m) % m)
-    return tuple(out)
-
-
 def _eval_cubic(c: tuple[int, ...], y: int, m: int) -> int:
     c3, c2, c1, c0 = c
     return (((c3 * y + c2) * y + c1) * y + c0) % m
@@ -119,18 +110,41 @@ def _eval_deriv(c: tuple[int, ...], y: int, m: int) -> int:
 
 
 def _newton_unit_root(c: tuple[int, ...], y: int, p: int, n: int) -> int:
-    """The unique root mod p^n of the cubic c over a simple root y mod p.
+    """The unique root mod p^n of the integer cubic c over a simple root y mod p.
 
-    c holds residues mod p^n; requires c(y) = 0 mod p and c'(y) a unit.  Every
-    step works mod p^n and at least doubles the number of correct digits.
+    Newton with doubling precision (Brent and Zimmermann, Modern Computer
+    Arithmetic, 4.2).  The ladder n, ceil(n/2), ..., 1 and the coefficients
+    reduced mod p^k for each rung k are computed first, from the top down.
+    Then, from rung 1 up, with y a root and z = 1/c'(y) both mod p^j at the
+    rung j below: y <- y - c(y)*z mod p^k is a root mod p^k (k <= 2j), and
+    z <- z*(2 - c'(y)*z) mod p^k is its inverse slope to the same precision,
+    so only rung 1 inverts anything.
+
+    Requires c(y) = 0 mod p and c'(y) a unit; a seed that breaks either, or a
+    result with c(y) != 0 mod p^n, raises InternalInconsistency.
     """
-    m = p**n
+    ladder = [n]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
+    rungs = []
+    for k in ladder:
+        m = p**k
+        c = tuple(x % m for x in c)
+        rungs.append((m, c))
+    m, c = rungs.pop()
     y %= m
-    while True:
-        fv = _eval_cubic(c, y, m)
-        if fv == 0:
-            return y
-        y = (y - fv * pow(_eval_deriv(c, y, m), -1, m)) % m
+    slope = _eval_deriv(c, y, m)
+    if _eval_cubic(c, y, m) or not slope:
+        raise InternalInconsistency(f"{y} is not a simple root mod {p} of {c}")
+    z = pow(slope, -1, m)
+    for i in reversed(range(len(rungs))):
+        m, c = rungs[i]
+        y = (y - _eval_cubic(c, y, m) * z) % m
+        if i:  # the inverse from the top rung would go unused
+            z = z * (2 - _eval_deriv(c, y, m) * z) % m
+    if _eval_cubic(c, y, m):
+        raise InternalInconsistency(f"Newton lift did not reach a root mod {p}^{n}")
+    return y
 
 
 def _integer_poly(poly: tuple[Fraction, ...]) -> tuple[int, ...]:
@@ -192,7 +206,7 @@ def _singular_branch_roots(
         multiple = None
         for u in roots_mod_p(hbar, p):
             if _eval_deriv(hbar, u, p):
-                z = _newton_unit_root(tuple(x % m for x in h), u, p, n)
+                z = _newton_unit_root(h, u, p, n)
                 roots.append((theta + scale * z) % m)
             else:
                 multiple = u
@@ -202,14 +216,6 @@ def _singular_branch_roots(
     raise InternalInconsistency(
         f"singular branch did not resolve within depth {depth_cap}"
     )
-
-
-def _digits_of_residue(r: int, p: int, n: int) -> tuple[int, ...]:
-    digs = []
-    for _ in range(n):
-        digs.append(r % p)
-        r //= p
-    return tuple(digs)
 
 
 # -- public operations --
@@ -288,9 +294,10 @@ def congruence_initials(eq: ScaledEquation) -> list[HenselSeed]:
 def lift(seed: HenselSeed, n: int) -> DigitExpansion:
     """Digits of the unique unit root over a simple seed, to n digits.
 
-    Newton iteration mod p^n from the first step; the number of correct digits
-    at least doubles per step, and the result y satisfies f(y) = 0 mod p^n
-    exactly.
+    Newton iteration with doubling precision: the step to rung k works mod
+    p^k, on a root correct mod p^ceil(k/2), so the cost is a constant number
+    of products and reductions at the final precision.  The result y
+    satisfies f(y) = 0 mod p^n exactly.
     """
     if n < 1:
         raise ValueError("need at least one digit")
@@ -299,8 +306,8 @@ def lift(seed: HenselSeed, n: int) -> DigitExpansion:
             f"derivative vanishes mod p at r0={seed.r0}; route to the repeated-root path"
         )
     p = seed.prime.p
-    root = _newton_unit_root(_poly_residues(seed.poly, p, n), seed.r0, p, n)
-    return DigitExpansion(seed.prime, 0, _digits_of_residue(root, p, n))
+    root = _newton_unit_root(_integer_poly(seed.poly), seed.r0, p, n)
+    return DigitExpansion(seed.prime, 0, residue_digits(root, p, n))
 
 
 def _taylor_at_seed(seed: HenselSeed) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -450,11 +457,12 @@ def all_roots(inst: CubicInstance, n: int = DEFAULT_DIGITS) -> list[RootRecord]:
                         _singular_branch_roots(seed.poly, seed.r0, p, n, v_disc)
                     )
                 else:
-                    c = _poly_residues(seed.poly, p, n)
+                    c = _integer_poly(seed.poly)
                     unit_roots.append(_newton_unit_root(c, seed.r0, p, n))
             v = -eq.k
             for y in sorted(unit_roots):
-                exp = DigitExpansion(inst.prime, v, _digits_of_residue(y, p, n))
+                exp = DigitExpansion(inst.prime, v, residue_digits(y, p, n))
                 records.append(RootRecord(exp, v, atom_for_valuation(v), 1))
-    records.sort(key=lambda rec: (rec.valuation, rec.expansion.unit_residue()))
+    # every record has n digits, so reversed digits order like the residues
+    records.sort(key=lambda rec: (rec.valuation, rec.expansion.digits[::-1]))
     return records

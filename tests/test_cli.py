@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padic_cubic.cli import main, parse_rational
+import padic_cubic
+from padic_cubic.cli import MAX_DIGITS, _build_parser, main, parse_rational
 from padic_cubic.errors import BadEnvironment, UsageError
 from padic_cubic.oracle import enumeration_bound
 from padic_cubic.padic import Prime
@@ -152,3 +157,49 @@ def test_text_and_json_report_identical_numbers(capsys):
     assert code == 0
     for name, value in doc["counts"].items():
         assert f"N_{name} = {value}" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--p", "5", "--a", "4", "--b", "5"),
+        ("verify", "--p", "5", "--r1", "1", "--r2", "2"),
+        ("sweep", "--instances", "1"),
+    ],
+)
+@pytest.mark.parametrize("digits", ["0", str(MAX_DIGITS + 1), "ten"])
+def test_digits_outside_the_cap_is_usage_error(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "--digits", digits)
+    assert code == 1 and out == ""
+    assert "--digits" in err and len(err.splitlines()) == 1
+
+
+def test_digits_cap_itself_is_accepted():
+    argv = ["solve", "--p", "5", "--a", "4", "--b", "5", "--digits", str(MAX_DIGITS)]
+    args = _build_parser().parse_args(argv)
+    assert args.digits == MAX_DIGITS == 100_000
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        "9" * 4000 + "*p^2000",  # parses, but a prints with about 5400 digits
+        "1*p^-100000",  # refused before 5^100000 is built
+        "1*p^100000000",  # the same, for a power of about 7*10^7 digits
+        "1" + "0" * 5000,  # a literal beyond CPython's str-to-int limit
+    ],
+    ids=["large_output", "negative_power", "huge_power", "long_literal"],
+)
+def test_oversized_numbers_are_refused_in_one_line(a):
+    src = str(Path(padic_cubic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic_cubic", "classify", "--p", "5", "--a", a, "--b", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")

@@ -92,13 +92,14 @@ def test_count_formula_matches_enumeration(prime):
 
 
 @given(
-    prime=st.sampled_from((P5, P7, P11, P13)),
+    prime=st.sampled_from((P5, P7, P11, P13, Prime(101), Prime(10007))),
     a0=st.integers(min_value=1, max_value=999),
     b0=st.integers(min_value=1, max_value=999),
     n=st.integers(min_value=1, max_value=10**4),
 )
 @settings(max_examples=150, deadline=None)
 def test_matrix_power_agrees_with_iteration(prime, a0, b0, n):
+    """u_term (powers of x modulo the characteristic polynomial) against iteration."""
     p = prime.p
     if a0 % p == 0 or b0 % p == 0:
         return

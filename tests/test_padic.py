@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -14,11 +15,14 @@ from padic_cubic.errors import (
 )
 from padic_cubic.padic import (
     MR_EXACT_BOUND,
+    DigitExpansion,
     PadicRational,
     Prime,
+    int_valuation,
     is_prime,
     is_prime_trial,
     make_padic,
+    residue_digits,
 )
 
 P5, P7, P11, P13 = Prime(5), Prime(7), Prime(11), Prime(13)
@@ -191,3 +195,53 @@ def test_digits_reconstruct_the_unit_part(x, n, prime):
 def test_digits_are_stable_under_precision_increase(x, n, prime):
     a = PadicRational(prime, x)
     assert a.digits(n + 1).digits[:n] == a.digits(n).digits
+
+
+def _digits_by_loop(r, p, n):
+    digs = []
+    for _ in range(n):
+        r, d = divmod(r, p)
+        digs.append(d)
+    return tuple(digs)
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**61 - 1])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 4001])
+def test_residue_digits_match_the_digit_loop(p, n):
+    m = p**n
+    r = p * random.Random(n).randrange(m // p) + 1  # d0 = 1, for the expansion below
+    want = _digits_by_loop(r, p, n)
+    assert residue_digits(r, p, n) == want
+    assert DigitExpansion(Prime(p), 0, want).unit_residue() == r
+    assert residue_digits(r % (m // p), p, n) == want[:-1] + (0,)
+    assert residue_digits(0, p, n) == (0,) * n
+
+
+def _valuation_by_loop(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**61 - 1])
+def test_int_valuation_matches_the_loop_around_powers_of_two(p):
+    for j in range(10):
+        for e in {2**j - 1, 2**j, 2**j + 1}:
+            for unit in (1, -1, p + 1, -(2 * p - 1)):
+                n = unit * p**e
+                assert int_valuation(n, p) == _valuation_by_loop(n, p) == e
+
+
+def test_digit_extraction_leaves_no_reference_cycles():
+    """Each call's digit lists are freed by reference counting, not by the collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (65, 1000, 4000):
+            residue_digits(7**n - 1, 7, n)
+            make_padic(1, 3, P7).digits(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

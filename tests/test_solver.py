@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -324,3 +325,59 @@ def test_no_scan_in_production(monkeypatch):
             report = verify(generate_from_roots(r1, r2), 20)
             assert report.passed, report.entries
         assert len(all_roots(inst(4, 5, prime), 20)) >= 1
+
+
+def _reference_roots(roots, prime, n):
+    """(valuation, n digits) of exact rational roots by plain loops, sorted like all_roots."""
+    p = prime.p
+    m = p**n
+    out = []
+    for r in roots:
+        r = Fraction(r)
+        num, den, v = r.numerator, r.denominator, 0
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        res = x = num * pow(den, -1, m) % m
+        digs = []
+        for _ in range(n):
+            x, d = divmod(x, p)
+            digs.append(d)
+        out.append((v, res, tuple(digs)))
+    return [(v, digs) for v, _, digs in sorted(out)]
+
+
+@pytest.mark.parametrize(
+    "prime, r1, r2, cases, singular",
+    [
+        (P11, Fraction(1, 2), Fraction(3, 4), {CASE_FULL}, False),
+        # 2 + 19 = 3*7: two unit roots from x^2 = -A0 and one root of valuation 1
+        (P7, Fraction(2), Fraction(19), {CASE_SQRT, CASE_LINEAR}, False),
+        (P5, Fraction(7, 5), Fraction(-3, 25), {CASE_LINEAR}, False),
+        # 3 and 3 + 2*13^4 share four digits
+        (P13, Fraction(3), Fraction(3 + 2 * 13**4), {CASE_FULL}, True),
+    ],
+)
+def test_all_roots_match_vieta_digits_at_high_precision(prime, r1, r2, cases, singular):
+    n = 1000
+    it = generate_from_roots(PadicRational(prime, r1), PadicRational(prime, r2)).instance
+    eqs = [eq for eq in candidate_scalings(it) if formula_case(eq)]
+    assert cases <= {formula_case(eq) for eq in eqs}
+    seeds = [s for eq in eqs for s in congruence_initials(eq)]
+    assert any(s.is_singular for s in seeds) == singular
+    records = all_roots(it, n)
+    assert all(rec.multiplicity == 1 for rec in records)
+    got = [(rec.valuation, rec.expansion.digits) for rec in records]
+    assert got == _reference_roots((r1, r2, -(r1 + r2)), prime, n)
+
+
+def test_wrong_seed_raises_instead_of_looping():
+    # roots 1 and 12 collide mod 11, so f'(1) = 0 mod 11
+    it = inst(-157, -156, P11)
+    (singular,) = [s for s in congruence_initials(candidate_scalings(it)[0]) if s.is_singular]
+    with pytest.raises(InternalInconsistency):
+        lift(dataclasses.replace(singular, slope=1), 20)
+    # 3 is no root mod 11 (f(3) = 9), though f'(3) = 2 is a unit
+    with pytest.raises(InternalInconsistency):
+        lift(HenselSeed(3, singular.poly, CASE_FULL, P11), 20)
